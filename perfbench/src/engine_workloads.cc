@@ -115,13 +115,20 @@ RoundOut RunRound(const EngineWorkload<Ring>& w, bool traced, bool first,
   const double t0 = NowS();
   for (const UpdateStream::Batch& b : w.stream.batches()) {
     const uint64_t b0 = NowNs();
-    Span(&spans, "batcher.push", [&] { batcher.PushInserts(b.relation, b.tuples); });
-    std::vector<typename fivm::exec::DeltaBatcher<Ring>::Batch> flushed;
-    Span(&spans, "batcher.flush", [&] { flushed = batcher.Flush(); });
-    for (auto& fb : flushed) {
-      Span(&spans, "exec.apply_batch", [&] {
-        executor.ApplyBatch(fb.relation, std::move(fb.delta));
-      });
+    // A batch that throws is a failed operation; the round's result check
+    // then fails as well.
+    try {
+      Span(&spans, "batcher.push", [&] { batcher.PushInserts(b.relation, b.tuples); });
+      std::vector<typename fivm::exec::DeltaBatcher<Ring>::Batch> flushed;
+      Span(&spans, "batcher.flush", [&] { flushed = batcher.Flush(); });
+      for (auto& fb : flushed) {
+        Span(&spans, "exec.apply_batch", [&] {
+          executor.ApplyBatch(fb.relation, std::move(fb.delta));
+        });
+      }
+    } catch (const std::exception& e) {
+      if (out->failed++ == 0) std::fprintf(stderr, "batch failed: %s\n", e.what());
+      continue;
     }
     r.lat_ms.push_back((NowNs() - b0) / 1e6);
     r.updates += b.tuples.size();
@@ -175,6 +182,10 @@ RoundOut RunRound(const EngineWorkload<Ring>& w, bool traced, bool first,
   return r;
 }
 
+/// Latency samples an untraced full-size run collects at the least: it runs
+/// more whole rounds than --seconds allow when a round has few batches.
+constexpr size_t kMinLatencySamples = 1000;
+
 /// Runs rounds for `seconds` (at least one), untraced then traced halves
 /// when tracing, and fills the result.
 template <typename Ring>
@@ -182,22 +193,25 @@ void RunEngineWorkload(const Args& args, const EngineWorkload<Ring>& w,
                        double gen_s, Result* out,
                        std::function<void(Result*)> extra_layers) {
   std::vector<RoundOut> plain, traced;
-  double setup_s = 0;
   const double start = NowS();
   const double plain_until = start + (args.trace ? args.seconds / 2 : args.seconds);
+  const size_t min_samples = args.trace || args.small ? 0 : kMinLatencySamples;
+  size_t samples = 0;
   do {
     plain.push_back(RunRound<Ring>(w, false, plain.empty(), nullptr, out));
-    if (plain.size() == 1) setup_s = plain[0].setup_s;
-  } while (NowS() < plain_until);
+    samples += plain.back().lat_ms.size();
+  } while (NowS() < plain_until || samples < min_samples);
 
   // Restart by re-evaluation: an engine initialized on the final database
-  // must hold the maintained result. Timed kRestarts times; the fastest is
-  // the per-layer recovery.reeval_ms (a deterministic CPU-bound rebuild, so
-  // the minimum is the estimate least disturbed by other load).
-  constexpr int kRestarts = 5;
+  // must hold the maintained result. A traced run times it kTracedRestarts
+  // times; the fastest is the per-layer recovery.reeval_ms (a deterministic
+  // CPU-bound rebuild, so the minimum is the estimate least disturbed by
+  // other load). An untraced run, which reports no restart time, restarts
+  // once for the check.
+  constexpr int kTracedRestarts = 5;
   std::vector<double> restart_times;
   std::unique_ptr<Instance<Ring>> restart;
-  for (int i = 0; i < kRestarts; ++i) {
+  for (int i = 0; i < (args.trace ? kTracedRestarts : 1); ++i) {
     restart.reset();
     const double t_restart = NowS();
     restart = SetUp(w, w.full);
@@ -229,10 +243,11 @@ void RunEngineWorkload(const Args& args, const EngineWorkload<Ring>& w,
     for (const RoundOut& r : rs) lat.insert(lat.end(), r.lat_ms.begin(), r.lat_ms.end());
     out->Metric("latency_ms_p50", Percentile(lat, 50), "ms");
     out->Metric("cpu_us_per_update", med(rs, [](const RoundOut& r) { return r.cpu_s * 1e6 / r.updates; }), "us");
-    std::printf("rounds=%zu batches=%zu shards=%zu\n", rs.size(), lat.size(), w.shards);
+    std::printf("rounds=%zu latency_samples=%zu shards=%zu\n", rs.size(), lat.size(),
+                w.shards);
     out->Metric("view_mb", rs.back().view_mb, "MB");
     out->Metric("peak_rss_mb", PeakRssMb(), "MB");
-    out->Metric("setup_s", setup_s, "s");
+    out->Metric("setup_s", rs.front().setup_s, "s");
     return;
   }
   // Per-layer: medians over the traced rounds of each reading.

@@ -53,7 +53,10 @@ double Percentile(std::vector<double> v, double p) {
 
 void Result::Check(bool ok, const std::string& what) {
   attempted += 1;
-  if (!ok) correct = false;
+  if (!ok) {
+    failed += 1;
+    correct = false;
+  }
   check_log.push_back(std::string(ok ? "CHECK ok   " : "CHECK FAIL ") + what);
 }
 

@@ -100,8 +100,8 @@ struct Result {
     }
     metrics.push_back({name, {value, unit}});
   }
-  /// Records one check. A failed check makes the run incorrect; it is an
-  /// attempted operation either way.
+  /// Records one check. A check is an attempted operation; a failed one is
+  /// also a failed operation and makes the run incorrect.
   void Check(bool ok, const std::string& what);
   std::string Json() const;
 };
